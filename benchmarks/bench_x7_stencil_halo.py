@@ -18,28 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codegen import generate_spmd, load_generated
-from repro.lang import parse_program
+from repro.lang import heat_program
 from repro.machine import MachineModel, Ring, run_spmd
 from repro.machine.collectives import allgather
 from repro.util.tables import Table
 
 MODEL = MachineModel(tf=1, tc=10)
-
-HEAT = """\
-PROGRAM heat
-PARAM m, steps
-SCALAR alpha
-ARRAY Unew(m), Uold(m)
-DO t = 1, steps
-  DO i = 2, m - 1
-    Unew(i) = Uold(i) + alpha * (Uold(i - 1) - 2 * Uold(i) + Uold(i + 1))
-  END DO
-  DO i = 2, m - 1
-    Uold(i) = Unew(i)
-  END DO
-END DO
-END
-"""
 
 
 def replicated_stencil(p, env):
@@ -68,7 +52,7 @@ def replicated_stencil(p, env):
 
 
 def sweep():
-    gen = generate_spmd(parse_program(HEAT))
+    gen = generate_spmd(heat_program())
     halo_fn = load_generated(gen)
     rows = []
     for m, n in [(64, 4), (128, 8), (256, 8), (256, 16)]:

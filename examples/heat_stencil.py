@@ -4,10 +4,11 @@ Run:  python examples/heat_stencil.py
 
 The paper's opening classification: when dependent data only influence
 *neighboring* data, component alignment plus Shift communication
-suffices.  This example writes an explicit 1-D heat-diffusion time
-stepper in the DSL, lets the compiler recognize it as a parallel stencil
-sweep (verifying with the dependence analyzer that nothing is carried),
-and runs the generated halo-exchange SPMD program.
+suffices.  This example takes the explicit 1-D heat-diffusion time
+stepper of :mod:`repro.lang.programs` (DSL source ``HEAT_SOURCE``), lets
+the compiler recognize it as a parallel stencil sweep (verifying with the
+dependence analyzer that nothing is carried), and runs the generated
+halo-exchange SPMD program.
 """
 
 from __future__ import annotations
@@ -15,26 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import MachineModel, compile_program
-
-SOURCE = """\
-PROGRAM heat
-PARAM m, steps
-SCALAR alpha
-ARRAY Unew(m), Uold(m)
-DO t = 1, steps
-  DO i = 2, m - 1
-    Unew(i) = Uold(i) + alpha * (Uold(i - 1) - 2 * Uold(i) + Uold(i + 1))
-  END DO
-  DO i = 2, m - 1
-    Uold(i) = Unew(i)
-  END DO
-END DO
-END
-"""
+from repro.lang.programs import HEAT_SOURCE
 
 
 def main() -> None:
-    plan = compile_program(SOURCE)
+    print(HEAT_SOURCE)
+    plan = compile_program(HEAT_SOURCE)
     print(f"recognized as: {plan.strategy}")
     print("halo widths:", plan.generated.pattern.halo)
     print("\ngenerated SPMD program:\n")

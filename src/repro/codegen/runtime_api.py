@@ -1,8 +1,9 @@
 """Runtime surface available to generated SPMD code.
 
 Generated programs are ``exec``'d with exactly this namespace — NumPy,
-the paper's communication primitives, and the redistribution runtime —
-so the emitted source documents its dependencies honestly and cannot
+the paper's communication primitives, the redistribution runtime and
+:class:`~repro.errors.MachineError` for run-time preconditions — so
+the emitted source documents its dependencies honestly and cannot
 accidentally capture library internals.
 """
 
@@ -14,6 +15,7 @@ from repro.distribution.function import Kind
 from repro.distribution.runtime import redistribute
 from repro.distribution.schemes import ArrayPlacement
 from repro.distribution.sections import local_indices, pack_section
+from repro.errors import MachineError
 from repro.machine.collectives import (
     allgather,
     allreduce,
@@ -46,6 +48,8 @@ RUNTIME_NAMESPACE = {
     "reduce": reduce,
     "scatter": scatter,
     "shift": shift,
+    # Typed failure of a run-time precondition (e.g. N | m for SOR).
+    "MachineError": MachineError,
     # Nonblocking layer (overlapped generated code).
     "NBComm": NBComm,
     "waitall": waitall,

@@ -81,24 +81,19 @@ def generate_spmd(program: Program, strategy: str | None = None) -> GeneratedPro
         if strategy not in (None, "cannon"):
             raise CodegenError(f"strategy {strategy!r} not applicable to matmul")
         return _emit_cannon(mm)
-    from repro.codegen.stencil import emit_stencil, match_stencil_sweep
+    from repro.codegen.stencil import emit_stencil, match_stencil
 
-    stencil = match_stencil_sweep(program)
+    stencil = match_stencil(program)
     if stencil is not None:
         if strategy == "stencil-overlap":
-            from repro.codegen.overlap import emit_stencil_overlap
+            from repro.pipeline.overlap import overlap_schedule
 
-            return emit_stencil_overlap(stencil)
-        if strategy not in (None, "stencil"):
-            raise CodegenError(f"strategy {strategy!r} not applicable to stencil sweeps")
+            return emit_stencil(stencil, overlap_schedule(stencil))
+        if strategy not in (None, stencil.strategy):
+            raise CodegenError(
+                f"strategy {strategy!r} not applicable to rank-{stencil.rank} stencil sweeps"
+            )
         return emit_stencil(stencil)
-    from repro.codegen.stencil2d import emit_stencil_2d, match_stencil_2d
-
-    stencil2d = match_stencil_2d(program)
-    if stencil2d is not None:
-        if strategy not in (None, "stencil-2d"):
-            raise CodegenError(f"strategy {strategy!r} not applicable to 2-D stencils")
-        return emit_stencil_2d(stencil2d)
     ga = match_gauss(program)
     if ga is not None:
         # Justify the pipeline with the §6 dependence analysis: every token
@@ -192,7 +187,10 @@ def _emit_sor(pat: IterativeSolvePattern) -> GeneratedProgram:
             omega_load,
             "m = len(b)",
             "n = p.nprocs",
-            "assert m % n == 0, 'pipelined SOR needs N | m'",
+        )
+        with w.block("if m % n:"):
+            w.line("raise MachineError(f'pipelined SOR needs N | m, got m={m}, N={n}')")
+        w.lines(
             "block = m // n",
             "me = p.rank",
             "before = me * block",
@@ -275,8 +273,12 @@ def _emit_cannon(pat: MatmulPattern) -> GeneratedProgram:
             f"C = np.asarray(env['{C}'], dtype=np.float64)",
             "n = B.shape[0]",
             "q = int(round(p.nprocs ** 0.5))",
-            "assert q * q == p.nprocs, 'Cannon needs a square processor grid'",
-            "assert n % q == 0, 'Cannon needs q | n'",
+        )
+        with w.block("if q * q != p.nprocs:"):
+            w.line("raise MachineError(f'Cannon needs q^2 processors, got {p.nprocs} for q={q}')")
+        with w.block("if n % q:"):
+            w.line("raise MachineError(f'Cannon needs q | n, got n={n}, q={q}')")
+        w.lines(
             "nb = n // q",
             "p1, p2 = divmod(p.rank, q)",
             "r = (p1 + p2) % q",

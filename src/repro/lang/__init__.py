@@ -17,6 +17,8 @@ from repro.lang.parser import parse_program
 from repro.lang.printer import program_to_text
 from repro.lang.programs import (
     gauss_program,
+    heat2d_program,
+    heat_program,
     jacobi_program,
     matmul_program,
     sor_program,
@@ -40,4 +42,6 @@ __all__ = [
     "sor_program",
     "gauss_program",
     "matmul_program",
+    "heat_program",
+    "heat2d_program",
 ]

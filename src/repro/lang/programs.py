@@ -7,7 +7,10 @@ IR freely.  The sources follow the paper's listings:
 * :func:`sor_program` — §5, successive over-relaxation;
 * :func:`gauss_program` — §6, Gauss elimination + back-substitution;
 * :func:`matmul_program` — §2.1, the matrix product ``A = B * C`` used to
-  motivate Cannon-style skewed distributions (Fig 1).
+  motivate Cannon-style skewed distributions (Fig 1);
+* :func:`heat_program` / :func:`heat2d_program` — explicit 1-D and 2-D
+  heat-diffusion time steppers, the §1 "dependent data only influence
+  neighboring data" case that the stencil lowering compiles.
 """
 
 from __future__ import annotations
@@ -92,6 +95,42 @@ END DO
 END
 """
 
+HEAT_SOURCE = """\
+PROGRAM heat
+PARAM m, steps
+SCALAR alpha
+ARRAY Unew(m), Uold(m)
+DO t = 1, steps
+  DO i = 2, m - 1
+    Unew(i) = Uold(i) + alpha * (Uold(i - 1) - 2 * Uold(i) + Uold(i + 1))
+  END DO
+  DO i = 2, m - 1
+    Uold(i) = Unew(i)
+  END DO
+END DO
+END
+"""
+
+HEAT2D_SOURCE = """\
+PROGRAM heat2d
+PARAM m, steps
+SCALAR alpha
+ARRAY Unew(m, m), Uold(m, m)
+DO t = 1, steps
+  DO i = 2, m - 1
+    DO j = 2, m - 1
+      Unew(i, j) = Uold(i, j) + alpha * (Uold(i - 1, j) + Uold(i + 1, j) + Uold(i, j - 1) + Uold(i, j + 1) - 4 * Uold(i, j))
+    END DO
+  END DO
+  DO i = 2, m - 1
+    DO j = 2, m - 1
+      Uold(i, j) = Unew(i, j)
+    END DO
+  END DO
+END DO
+END
+"""
+
 
 def jacobi_program() -> Program:
     """Jacobi's iterative algorithm (paper §3 listing, lines 1-10)."""
@@ -111,3 +150,13 @@ def gauss_program() -> Program:
 def matmul_program() -> Program:
     """Three-nested-loop matrix multiplication A = B x C (paper §2)."""
     return parse_program(MATMUL_SOURCE)
+
+
+def heat_program() -> Program:
+    """1-D explicit heat diffusion, ``steps`` sweeps over ``m`` points (§1)."""
+    return parse_program(HEAT_SOURCE)
+
+
+def heat2d_program() -> Program:
+    """2-D explicit heat diffusion (five-point stencil) on an ``m x m`` grid."""
+    return parse_program(HEAT2D_SOURCE)

@@ -13,8 +13,8 @@ where the *interior* is the subrange of the block whose stencil windows
 stay inside the local pad (no halo value needed), and the *boundary*
 strips are the at-most-``hl + hr`` edge elements that must wait for the
 transfers.  The pass output (:class:`OverlapSchedule`) is consumed by
-:func:`repro.codegen.overlap.emit_stencil_overlap`, which prints the
-rewritten SPMD listing, and doubles as the analytic cost model behind
+:func:`repro.codegen.stencil.emit_stencil`, which prints the rewritten
+SPMD listing, and doubles as the analytic cost model behind
 ``report.py --overlap``:
 
 * per-sweep blocking time estimate: ``2 (alpha + w tc)`` per exchanged
@@ -27,7 +27,7 @@ rewritten SPMD listing, and doubles as the analytic cost model behind
 Safety: the rewrite is sound only when no statement reads, at a nonzero
 offset, an array written earlier in the same sweep (the interior pass of
 the reader would see stale boundary elements of the writer).  The
-dependence filter in :func:`repro.codegen.stencil.match_stencil_sweep`
+dependence filter in :func:`repro.codegen.stencil.match_stencil`
 already rejects such sweeps (any cross-statement nonzero-offset read of
 an in-sweep-written array is a loop-carried dependence), but the pass
 re-checks and raises :class:`repro.errors.CodegenError` defensively.
@@ -132,11 +132,11 @@ class OverlapSchedule:
 def _check_sound(sweep: Sweep) -> None:
     written: set[str] = set()
     for stmt in sweep.stmts:
-        for name, off in stmt.offsets:
-            if off != 0 and name in written:
+        for name, offs in stmt.offsets:
+            if offs[0] != 0 and name in written:
                 raise CodegenError(
                     f"overlap rewrite unsound: sweep over {sweep.var!r} reads "
-                    f"{name}({sweep.var}{off:+d}) after writing {name} in the "
+                    f"{name}({sweep.var}{offs[0]:+d}) after writing {name} in the "
                     "same sweep"
                 )
         written.add(stmt.lhs_array)
@@ -144,40 +144,21 @@ def _check_sound(sweep: Sweep) -> None:
 
 def overlap_schedule(pattern: StencilPattern) -> OverlapSchedule:
     """Rewrite every sweep of *pattern* into overlapped form."""
-    halo = pattern.halo
     sweeps: list[SweepOverlap] = []
     for si, sweep in enumerate(pattern.sweeps):
         _check_sound(sweep)
-        read = sorted({name for st in sweep.stmts for name, _ in st.offsets})
-        exchanges: list[HaloExchange] = []
-        margin_left = 0
-        margin_right = 0
-        for name in read:
-            hl, hr = halo[name]
-            if hl:
-                exchanges.append(HaloExchange(name, "left", hl))
-            if hr:
-                exchanges.append(HaloExchange(name, "right", hr))
-            margin_left = max(margin_left, hl)
-            margin_right = max(margin_right, hr)
-        flops = sum(_stmt_flops(st) for st in sweep.stmts)
+        exchanges = tuple(HaloExchange(*ex) for ex in pattern.exchanges(sweep))
         sweeps.append(
             SweepOverlap(
                 index=si,
                 var=sweep.var,
-                exchanges=tuple(exchanges),
-                margin_left=margin_left,
-                margin_right=margin_right,
-                flops_per_elem=flops,
+                exchanges=exchanges,
+                margin_left=max((ex.width for ex in exchanges if ex.direction == "left"), default=0),
+                margin_right=max((ex.width for ex in exchanges if ex.direction == "right"), default=0),
+                flops_per_elem=sum(st.flops for st in sweep.stmts),
             )
         )
     return OverlapSchedule(pattern=pattern, sweeps=tuple(sweeps))
-
-
-def _stmt_flops(stmt) -> int:
-    from repro.codegen.stencil import _count_ops
-
-    return _count_ops(stmt.rhs)
 
 
 def overlap_table(

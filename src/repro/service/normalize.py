@@ -63,7 +63,7 @@ from repro.machine.model import MachineModel
 #: canonical serialization, the Plan pickle layout or the compiler
 #: semantics: all persisted cache entries become unreachable (a schema
 #: bump is the invalidation story — stale entries are never *read*).
-IR_SCHEMA = "repro-ir/1"
+IR_SCHEMA = "repro-ir/2"
 
 _ROLE_PREFIX = {"array": "a", "param": "p", "scalar": "w", "loop": "i"}
 

@@ -680,20 +680,11 @@ def overlap_report(outdir: pathlib.Path | None = None) -> int:
     }
 
     # The scheduling pass's view of the same rewrite (generated-code side).
-    from repro.lang import parse_program
+    from repro.codegen.stencil import match_stencil
+    from repro.lang import heat_program
     from repro.pipeline.overlap import overlap_schedule, overlap_table
-    from repro.codegen.stencil import match_stencil_sweep
 
-    heat_src = (
-        "PROGRAM heat\nPARAM m, steps\nSCALAR alpha\nARRAY Unew(m), Uold(m)\n"
-        "DO t = 1, steps\n"
-        "  DO i = 2, m - 1\n"
-        "    Unew(i) = Uold(i) + alpha * (Uold(i - 1) - 2 * Uold(i) + Uold(i + 1))\n"
-        "  END DO\n"
-        "  DO i = 2, m - 1\n    Uold(i) = Unew(i)\n  END DO\n"
-        "END DO\nEND\n"
-    )
-    pattern = match_stencil_sweep(parse_program(heat_src))
+    pattern = match_stencil(heat_program())
     sched = overlap_schedule(pattern)
     print()
     print("overlap pass on the generated heat stencil "

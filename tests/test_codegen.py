@@ -230,3 +230,77 @@ class TestGeneratedExecution:
         np.testing.assert_allclose(
             res.value(0), jacobi_seq(A, b, np.zeros(16), 10), atol=1e-12
         )
+
+
+class TestRunTimePreconditions:
+    """Run-time preconditions of generated code are typed errors, never
+    bare ``assert``s, so ``python -O`` cannot change what a plan does."""
+
+    def test_no_emitted_source_contains_assert(self):
+        import re
+
+        from repro.codegen import RedistMove, emit_redistribution_program, emit_sparse_spmv
+        from repro.distribution.function import Kind
+        from repro.distribution.schemes import ArrayPlacement
+        from repro.lang import heat2d_program, heat_program
+
+        generated = [
+            generate_spmd(jacobi_program()),
+            generate_spmd(sor_program()),
+            generate_spmd(matmul_program()),
+            generate_spmd(gauss_program(), strategy="cyclic-pipeline"),
+            generate_spmd(gauss_program(), strategy="cyclic-multicast"),
+            emit_sparse_spmv(4),
+            emit_redistribution_program(
+                [RedistMove("T", ArrayPlacement("T", (1,), kinds=(Kind.BLOCK,)),
+                            ArrayPlacement("T", (None,), kinds=(Kind.BLOCK,), rest="replicated"), (16,))],
+                (4, 1),
+            ),
+        ]
+        for program in (heat_program(), heat2d_program()):
+            generated += [generate_spmd(program), generate_spmd(program, strategy="stencil-overlap")]
+        strategies = {gen.strategy for gen in generated}
+        assert {"data-parallel", "ring-pipeline", "cannon", "cyclic-pipeline", "cyclic-multicast",
+                "stencil", "stencil-2d", "stencil-overlap"} <= strategies
+        for gen in generated:
+            assert not re.search(r"\bassert\b", gen.source), gen.strategy
+
+    def test_python_O_keeps_typed_errors_and_uneven_stencils(self):
+        """Under -O: SOR at m=30, N=8 raises MachineError (not a deadlock),
+        and heat at m=30, N=8 still matches the sequential reference."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import numpy as np\n"
+            "from repro.codegen import generate_spmd, load_generated\n"
+            "from repro.errors import MachineError\n"
+            "from repro.kernels import make_spd_system\n"
+            "from repro.lang import heat_program, sor_program\n"
+            "from repro.machine import MachineModel, Ring, run_spmd\n"
+            "from tests.stencil_cases import heat_reference\n"
+            "assert False, 'asserts are stripped'\n"
+            "A, b, _ = make_spd_system(30, seed=1)\n"
+            "env = {'A': A, 'B': b, 'X0': np.zeros(30), 'iterations': 1, 'omega': 1.0}\n"
+            "try:\n"
+            "    run_spmd(load_generated(generate_spmd(sor_program())), Ring(8), MachineModel(), args=(env,))\n"
+            "except MachineError as err:\n"
+            "    print('sor:', type(err).__name__, err)\n"
+            "u0 = np.random.default_rng(0).random(30)\n"
+            "env = {'m': 30, 'steps': 4, 'alpha': 0.2, 'Unew': np.zeros(30), 'Uold': u0.copy()}\n"
+            "res = run_spmd(load_generated(generate_spmd(heat_program())), Ring(8), MachineModel(), args=(env,))\n"
+            "print('heat:', np.allclose(res.value(0)['Uold'], heat_reference(u0, 0.2, 4), atol=1e-12, rtol=0))\n"
+        )
+        root = pathlib.Path(repro.__file__).resolve().parents[2]
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            cwd=root, env={**os.environ, "PYTHONPATH": f"{root / 'src'}:{root}"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "sor: MachineError pipelined SOR needs N | m, got m=30, N=8" in out.stdout
+        assert "heat: True" in out.stdout

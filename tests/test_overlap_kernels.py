@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codegen import generate_spmd, load_generated
-from repro.codegen.stencil import SweepStmt, Sweep, match_stencil_sweep
+from repro.codegen.stencil import Sweep, SweepStmt, match_stencil
 from repro.errors import CodegenError
 from repro.kernels import (
     heat_stencil_blocking,
@@ -29,27 +29,11 @@ from repro.kernels import (
     sor_pipelined,
     sor_pipelined_overlap,
 )
-from repro.lang import parse_program
+from repro.lang import heat_program
 from repro.machine import MachineModel, Ring, run_spmd, run_spmd_threaded
 from repro.pipeline import overlap_schedule, overlap_table
 
 N = 8
-
-HEAT = """\
-PROGRAM heat
-PARAM m, steps
-SCALAR alpha
-ARRAY Unew(m), Uold(m)
-DO t = 1, steps
-  DO i = 2, m - 1
-    Unew(i) = Uold(i) + alpha * (Uold(i - 1) - 2 * Uold(i) + Uold(i + 1))
-  END DO
-  DO i = 2, m - 1
-    Uold(i) = Unew(i)
-  END DO
-END DO
-END
-"""
 
 
 def _heat_args(m=256, steps=4, seed=0):
@@ -168,7 +152,7 @@ class TestBackendParity:
 
 class TestOverlapPass:
     def test_schedule_structure_for_heat(self):
-        pattern = match_stencil_sweep(parse_program(HEAT))
+        pattern = match_stencil(heat_program())
         sched = overlap_schedule(pattern)
         assert len(sched.sweeps) == 2
         first, second = sched.sweeps
@@ -183,7 +167,7 @@ class TestOverlapPass:
         assert second.exchanges == () and second.phases == ("compute",)
 
     def test_analytic_model_predicts_hiding(self):
-        pattern = match_stencil_sweep(parse_program(HEAT))
+        pattern = match_stencil(heat_program())
         sched = overlap_schedule(pattern)
         model = MachineModel(tf=1, tc=10, alpha=100.0)
         assert sched.speedup(model, cnt=32) > 1.0
@@ -193,15 +177,13 @@ class TestOverlapPass:
     def test_unsound_sweep_rejected(self):
         # W is written by stmt 1, then read at a nonzero offset by stmt 2
         # in the same sweep: the interior pass would see stale boundary
-        # elements of W.  (match_stencil_sweep never produces this shape;
-        # the pass re-checks defensively.)
+        # elements of W.  (match_stencil never produces this shape; the
+        # pass re-checks defensively.)
         sweep = Sweep(
-            var="i", lb=None, ub=None,
+            loop_vars=("i",), bounds=((None, None),),
             stmts=(
-                SweepStmt(lhs_array="W", lhs_offset=0, rhs=None,
-                          offsets=(("U", 0),)),
-                SweepStmt(lhs_array="V", lhs_offset=0, rhs=None,
-                          offsets=(("W", 1),)),
+                SweepStmt(lhs_array="W", rhs=None, offsets=(("U", (0,)),)),
+                SweepStmt(lhs_array="V", rhs=None, offsets=(("W", (1,)),)),
             ),
         )
         from repro.pipeline.overlap import _check_sound
@@ -222,7 +204,7 @@ class TestOverlapCodegen:
         )
 
     def test_generated_overlap_matches_blocking_codegen(self):
-        program = parse_program(HEAT)
+        program = heat_program()
         gen_b = generate_spmd(program)
         gen_o = generate_spmd(program, strategy="stencil-overlap")
         assert gen_b.strategy == "stencil" and gen_o.strategy == "stencil-overlap"
@@ -240,7 +222,7 @@ class TestOverlapCodegen:
         assert ro.makespan < rb.makespan
 
     def test_generated_overlap_backend_parity(self):
-        gen = generate_spmd(parse_program(HEAT), strategy="stencil-overlap")
+        gen = generate_spmd(heat_program(), strategy="stencil-overlap")
         fn = load_generated(gen)
         model = MachineModel(tf=1, tc=10, alpha=10.0)
         env_a, env_b = self._envs(steps=3)

@@ -236,6 +236,29 @@ class TestSessionApi:
         assert other.stats.disk_hits == 2
         assert again.source == res.source
 
+    def test_entries_under_the_previous_schema_are_never_read(self, tmp_path, monkeypatch):
+        """Plans persisted under ``repro-ir/1`` (stencil plans with the
+        per-rank pattern classes and assert guards) are unreachable."""
+        import repro.service.normalize as normalize
+        from repro.lang import heat_program
+
+        assert normalize.IR_SCHEMA == "repro-ir/2"
+        env = {"m": 32, "steps": 2}
+        monkeypatch.setattr(normalize, "IR_SCHEMA", "repro-ir/1")
+        Session(machine=MODEL, cache="disk", cache_dir=tmp_path).compile(heat_program(), nprocs=4, env=env)
+        monkeypatch.undo()
+        stale = PlanCache(disk_dir=tmp_path)
+        keys = [path.stem for path in tmp_path.glob("*.pkl")]
+        assert len(keys) == 2  # plan + solve entries
+        for key in keys:
+            stale.put(key, "stale")  # any read of a /1 entry would surface this
+        session = Session(machine=MODEL, cache="disk", cache_dir=tmp_path)
+        res = session.compile(heat_program(), nprocs=4, env=env)
+        assert not res.cached and not res.solve_cached
+        assert session.stats.disk_hits == 0
+        assert res.strategy == "stencil" and "assert" not in res.source
+        assert len({path.stem for path in tmp_path.glob("*.pkl")} - set(keys)) == 2
+
     def test_session_defaults_match_compile_program(self):
         plan = compile_program(jacobi_program())
         res = Session(machine=MODEL).compile(jacobi_program())
